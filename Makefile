@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-workers test-procs test-sparse lint run-ci serve-smoke bench bench-compare bench-compare-ci artifacts
+.PHONY: test test-workers test-procs test-sparse test-perfbench lint run-ci serve-smoke bench bench-compare bench-compare-ci artifacts
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,6 +28,15 @@ lint:
 ## visible and seconds-fast.  `-m sparse` overrides the pyproject addopts.
 test-sparse:
 	$(PYTHON) -m pytest -m sparse -q
+
+## Benchmark leg: perfbench's own tests (tiny-size runs of every workload,
+## the metric lists against BENCHMARK.json, exactness, traced layers).
+## Tier-1 collects tests/ only, so without this leg a change that breaks
+## a boundary the benchmark wraps by name (ChargePumpUpdater.apply_sample,
+## BipartiteIsingSubstrate.gibbs_chain, ...) would only show when the
+## benchmark itself runs.  ~35 s.
+test-perfbench:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 ## CLI smoke leg of the tier-1 workflow: the registry listing plus two
 ## cheap (analytic) artifacts through `python -m repro run`, exercising

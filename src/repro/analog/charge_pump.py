@@ -18,7 +18,7 @@ the properties the paper calls out:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -113,18 +113,25 @@ class ChargePumpUpdater:
             remaining = (weights - lo) / span
         return np.clip(remaining / self.saturation_margin, 0.0, 1.0)
 
-    def _weight_steps(self, weights: np.ndarray, positive: bool) -> np.ndarray:
+    def _weight_steps(
+        self, weights: np.ndarray, positive: bool, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Per-unit steps incl. saturation and update noise (single source of
         the weight update law, shared by :meth:`apply` and :meth:`apply_sample`).
 
-        May return ``_base_steps`` itself when no factor applies — callers
-        must treat the result as read-only.
+        With ``rows`` given, ``weights`` holds only those rows of the coupling
+        array and the steps are computed for them alone; the full ``shape``
+        block of update noise is still drawn and then indexed, so the noise
+        stream advances exactly as for a full-array update.  May return
+        ``_base_steps`` itself when ``rows`` is None and no factor applies —
+        callers must then treat the result as read-only.
         """
-        steps = self._base_steps
+        steps = self._base_steps if rows is None else self._base_steps[rows]
         if self.saturation:
             steps = steps * self._headroom(weights, positive)
         if self.noise_rms > 0:
-            steps = steps * (1.0 + self._rng.normal(0.0, self.noise_rms, size=self.shape))
+            noise = self._rng.normal(0.0, self.noise_rms, size=self.shape)
+            steps = steps * (1.0 + (noise if rows is None else noise[rows]))
         return steps
 
     def _bias_steps(self, biases: np.ndarray, positive: bool) -> np.ndarray:
@@ -213,17 +220,29 @@ class ChargePumpUpdater:
         ``h_bits`` come straight from the substrate's latches (binary by
         construction), so the binary re-validation, the explicit
         ``np.outer`` correlation matrix, and the ``np.where`` gating of
-        :meth:`apply` are all skipped.  Multiplying the steps by the outer
-        product of 0/1 bits lands the exact same values the masked path
-        produces.
+        :meth:`apply` are all skipped.  Charge moves only where
+        ``v_i * h_j = 1``, so only the rows with ``v_i = 1`` are gathered,
+        stepped (their steps times ``h_bits``), clamped and scattered back;
+        every other row is left untouched.
+
+        Precondition: ``weights`` already lie in ``weight_range`` (which
+        ``BoltzmannGradientFollower.initialize`` guarantees by clipping),
+        because the untouched rows are not re-clipped.
         """
-        steps = self._weight_steps(weights, positive)
-        delta = steps * (v_bits[:, None] * h_bits[None, :])
+        rows = np.flatnonzero(v_bits)
+        active = weights[rows]
+        # A fresh array whenever ``rows`` is given, so the in-place gating
+        # below cannot write through to ``_base_steps``.
+        steps = self._weight_steps(active, positive, rows)
+        steps *= h_bits
         if positive:
-            weights += delta
+            active += steps
         else:
-            weights -= delta
-        np.clip(weights, self.weight_range[0], self.weight_range[1], out=weights)
+            active -= steps
+        lo, hi = self.weight_range
+        np.maximum(active, lo, out=active)
+        np.minimum(active, hi, out=active)
+        weights[rows] = active
         return weights
 
     def apply_bias_sample(
@@ -237,7 +256,8 @@ class ChargePumpUpdater:
         steps = self._bias_steps(biases, positive)
         delta = steps * active
         biases += delta if positive else -delta
-        np.clip(biases, self.weight_range[0], self.weight_range[1], out=biases)
+        np.maximum(biases, self.weight_range[0], out=biases)
+        np.minimum(biases, self.weight_range[1], out=biases)
         return biases
 
     def apply_bias(

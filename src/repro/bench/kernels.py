@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerMachine, GibbsSamplerTrainer
+from repro.datasets import load_mnist_like
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
 from repro.serve import MicroBatchScoringService, measure_latency
@@ -350,6 +351,30 @@ def _bgf_epoch_kernel(data: np.ndarray, fast: bool):
     return kernel
 
 
+def _bgf_epoch_dtype_kernel(n_hidden: int, fast: bool):
+    """BGF training epoch at the paper shape: float32 tier vs the seed path.
+
+    The epoch streams 50 binarized synthetic-MNIST rows (~12% of the pixels
+    on, so each charge-pump update touches few coupling rows).  ``fast``
+    selects the float32 tier on the fast path (row-gathered charge
+    pump, batched stream chunks); the baseline is ``fast_path=False``, the
+    float64 seed implementation (validated full-matrix ``apply`` per phase).
+    The float32 tier requires the fast path, so the two legs differ in
+    precision as well as in path.
+    """
+    data = load_mnist_like(0, scale=0.025).binarized().train_x
+    compute = ComputeSpec(dtype="float32") if fast else ComputeSpec(fast_path=False)
+
+    def kernel():
+        rbm = BernoulliRBM(data.shape[1], n_hidden, rng=0)
+        BGFTrainer(
+            spec=TrainerSpec.bgf(0.1, reference_batch_size=10, compute=compute),
+            rng=1,
+        ).train(rbm, data, epochs=1)
+
+    return kernel
+
+
 def _cd_epoch_kernel(data: np.ndarray, fast: bool):
     def kernel():
         rbm = BernoulliRBM(data.shape[1], 32, rng=0)
@@ -629,6 +654,11 @@ def run_benchmarks(
         kernels["gs_multichain_negative_phase_p8_784x500"] = lambda fast: (
             _multichain_negative_phase_kernel(784, 500, 8, 2, fast)
         )
+        # Paper-shape BGF entry: legacy = fast_path=False (float64), fast =
+        # the float32 tier.
+        kernels["bgf_training_epoch_784x200_float32"] = lambda fast: (
+            _bgf_epoch_dtype_kernel(200, fast)
+        )
         # Precision-tier entries: legacy = the float64 fast path, fast = the
         # float32 tier (fused sigmoid->compare latch), so the ratio isolates
         # the precision win on the BLAS-bound MNIST-scale kernels.
@@ -720,7 +750,10 @@ def run_benchmarks(
                 "for gs_pcd/gs_multichain entries legacy = chain_batch=False "
                 "(chains advanced one at a time through the single-chain "
                 "fast path) and fast = the chain-parallel settle_batch "
-                "kernel; for ais entries legacy = the per-beta Python loop; "
+                "kernel; for bgf_training_epoch_784x200_float32 legacy = "
+                "fast_path=False (float64, full-matrix charge-pump apply) "
+                "and fast = the float32 tier on the fast path; "
+                "for ais entries legacy = the per-beta Python loop; "
                 "for *_float32 entries legacy = the float64 fast path and "
                 "fast = the float32 precision tier (fused Bernoulli latch); "
                 "for *_qint8 entries legacy = the float32 tier and fast = "

@@ -46,6 +46,7 @@ from repro.utils.validation import (
     ValidationError,
     check_array,
     check_data_matrix,
+    check_has_rows,
     reject_kwargs_with_spec,
 )
 
@@ -610,7 +611,7 @@ class GibbsSamplerTrainer:
                     f"{rbm.n_visible} visible units"
                 )
         else:
-            data = check_data_matrix(data, name="data")
+            data = check_has_rows(check_data_matrix(data, name="data"))
             if data.shape[1] != rbm.n_visible:
                 raise ValidationError(
                     f"data has {data.shape[1]} features but the RBM has "

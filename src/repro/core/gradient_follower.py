@@ -51,6 +51,7 @@ from repro.utils.rng import SeedLike, as_rng, spawn_rngs
 from repro.utils.validation import (
     ValidationError,
     check_array,
+    check_has_rows,
     check_positive,
     reject_kwargs_with_spec,
 )
@@ -450,9 +451,6 @@ class BGFTrainer:
         in-sample learning loop is strictly sequential by algorithm — the
         paper's mid-step updates serialize it — so ``workers`` touches only
         the pool refresh.  ``None`` defers to ``REPRO_WORKERS``/1.
-    epochs_per_call:
-        Ignored; present only for signature compatibility notes.  The epoch
-        count is passed to :meth:`train` like the other trainers.
     dtype:
         Substrate precision tier of the lazily-created machine
         (``"float64"`` default; ``"float32"`` for the single-precision
@@ -605,7 +603,7 @@ class BGFTrainer:
         algorithm — it is instrumentation, matching how the paper evaluates
         log-probability trajectories offline.
         """
-        data = check_array(data, name="data", ndim=2)
+        data = check_has_rows(check_array(data, name="data", ndim=2))
         if data.shape[1] != rbm.n_visible:
             raise ValidationError(
                 f"data has {data.shape[1]} features but the RBM has "

@@ -23,6 +23,7 @@ from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import (
     ValidationError,
     check_data_matrix,
+    check_has_rows,
     check_positive,
 )
 
@@ -94,7 +95,7 @@ class MaximumLikelihoodTrainer:
         record_every:
             If positive, record reconstruction error every that many steps.
         """
-        data = check_data_matrix(data, name="data")
+        data = check_has_rows(check_data_matrix(data, name="data"))
         if data.shape[1] != rbm.n_visible:
             raise ValidationError(
                 f"data has {data.shape[1]} features; RBM has {rbm.n_visible} visible units"

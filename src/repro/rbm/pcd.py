@@ -27,6 +27,7 @@ from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import (
     ValidationError,
     check_data_matrix,
+    check_has_rows,
     check_positive,
 )
 
@@ -210,7 +211,7 @@ class PCDTrainer:
         ``data`` may be dense or scipy-sparse CSR; sparse runs agree with
         the dense expansion at float tolerance under the same seed.
         """
-        data = check_data_matrix(data, name="data")
+        data = check_has_rows(check_data_matrix(data, name="data"))
         if data.shape[1] != rbm.n_visible:
             raise ValidationError(
                 f"data has {data.shape[1]} features but the RBM has "

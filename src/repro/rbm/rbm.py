@@ -32,6 +32,7 @@ from repro.utils.validation import (
     ValidationError,
     check_array,
     check_data_matrix,
+    check_has_rows,
     check_positive,
     reject_kwargs_with_spec,
 )
@@ -378,7 +379,7 @@ class CDTrainer:
         float tolerance under the same seed (the Bernoulli draws consume the
         identical uniform stream either way).
         """
-        data = check_data_matrix(data, name="data")
+        data = check_has_rows(check_data_matrix(data, name="data"))
         if data.shape[1] != rbm.n_visible:
             raise ValidationError(
                 f"data has {data.shape[1]} features but the RBM has "

@@ -88,6 +88,17 @@ def check_data_matrix(x, *, name: str = "data", n_features: Optional[int] = None
     return check_array(x, name=name, ndim=2, shape=shape)
 
 
+def check_has_rows(x, *, name: str = "data"):
+    """Reject a (dense or scipy-sparse) matrix with zero rows.
+
+    The trainers' ``train`` boundary: an epoch over no samples runs no
+    update and can only report a NaN reconstruction error.
+    """
+    if x.shape[0] == 0:
+        raise ValidationError(f"{name} has no rows; training needs at least one sample")
+    return x
+
+
 def check_binary(x, *, name: str = "array") -> np.ndarray:
     """Validate that ``x`` holds only 0/1 values (as floats)."""
     arr = np.asarray(x, dtype=float)
