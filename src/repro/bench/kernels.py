@@ -33,6 +33,11 @@ from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
 from repro.serve import MicroBatchScoringService, measure_latency
 from repro.utils.numerics import safe_sparse_dot
+from repro.utils.parallel import (
+    ProcessShardedExecutor,
+    ShardedExecutor,
+    blas_thread_count,
+)
 
 
 def _substrate(n_visible, n_hidden, *, fast=True, dtype="float64"):
@@ -593,22 +598,49 @@ def _ais_kernel(fast: bool, n_visible: int = 49, n_hidden: int = 32):
     return kernel
 
 
-def annotate_oversubscription(results: Dict) -> List[str]:
-    """Flag ``*_workersK``/``*_procsK`` entries timed with more workers than cores.
+_WIDTH_SUFFIX = re.compile(r"_(?:workers|procs)(\d+)$")
 
-    A K-wide shard/pool on fewer than K cores measures scheduling overhead,
-    not the multicore win, so its speedup is not comparable across machines.
-    Mutates ``results`` in place — each kernel whose name encodes a worker
-    width larger than ``meta.cpu_count`` gains ``"oversubscribed": true`` —
-    and returns the flagged names so callers can print warnings.
+
+def _blas_threads_in_shard(_) -> Optional[int]:
+    return blas_thread_count()
+
+
+def measure_shard_blas_threads(name: str, width: int) -> Optional[int]:
+    """The OpenBLAS count the shards of a ``width``-wide entry run with.
+
+    Measured inside the shards — thread shards for ``*_workersK`` entries,
+    spawn workers for ``*_procsK`` — so it reflects the executor's BLAS
+    thread budget as it actually applied; ``None`` without OpenBLAS.
+    """
+    executor = (
+        ProcessShardedExecutor(width) if "_procs" in name else ShardedExecutor(width)
+    )
+    counts = executor.map(_blas_threads_in_shard, range(width))
+    return None if None in counts else max(counts)
+
+
+def annotate_oversubscription(results: Dict) -> List[str]:
+    """Flag ``*_workersK``/``*_procsK`` entries that asked for more threads than cores.
+
+    A K-wide shard/pool whose shards each run ``t`` BLAS threads keeps
+    ``K * t`` threads busy; on fewer cores it measures scheduling overhead,
+    not the multicore win, so its speedup is not comparable across
+    machines.  ``t`` is the entry's ``blas_threads_per_shard`` (from
+    :func:`measure_shard_blas_threads`), or 1 where the entry has none.
+    Mutates ``results`` in place — each flagged kernel gains
+    ``"oversubscribed": true`` — and returns the flagged names so callers
+    can print warnings.
     """
     cpu_count = results.get("meta", {}).get("cpu_count")
     flagged: List[str] = []
     if not cpu_count:
         return flagged
     for name, row in results.get("kernels", {}).items():
-        match = re.search(r"_(?:workers|procs)(\d+)$", name)
-        if match and int(match.group(1)) > cpu_count:
+        match = _WIDTH_SUFFIX.search(name)
+        if not match:
+            continue
+        threads = row.get("blas_threads_per_shard") or 1
+        if int(match.group(1)) * threads > cpu_count:
             row["oversubscribed"] = True
             flagged.append(name)
     return flagged
@@ -742,6 +774,9 @@ def run_benchmarks(
             # only); the >=2x target applies on 4+ cores.  Recording the
             # timing machine's core count keeps the evidence file honest.
             "cpu_count": os.cpu_count(),
+            # OpenBLAS's count outside sharded maps (None without OpenBLAS);
+            # multicore rows record what their shards ran with.
+            "blas_threads": blas_thread_count(),
             "workers": workers,
             "note": (
                 "median per-call wall-clock seconds (inner-loop calibrated "
@@ -765,8 +800,11 @@ def run_benchmarks(
                 "quantization, amortized at paper-scale sweeps); "
                 "for *_workersK entries legacy = the serial workers=1 "
                 "kernel and fast = the K-way sharded settle / threaded AIS "
-                "pool (speedup bounded by meta.cpu_count; entries timed "
-                "with more workers than cores carry oversubscribed=true); "
+                "pool (speedup bounded by meta.cpu_count; each carries "
+                "blas_threads_per_shard, the OpenBLAS count measured inside "
+                "its shards, and entries whose workers x "
+                "blas_threads_per_shard exceed the cores carry "
+                "oversubscribed=true); "
                 "for *_procsK entries legacy = the K-wide thread pool and "
                 "fast = the K-wide spawn-process pool over the shared-memory "
                 "coupling matrix (executor=processes, draw-identical to the "
@@ -798,6 +836,12 @@ def run_benchmarks(
             "fast_median_s": fast_s,
             "speedup": legacy_s / fast_s if fast_s > 0 else float("inf"),
         }
+    for name, row in results["kernels"].items():
+        match = _WIDTH_SUFFIX.search(name)
+        if match:
+            row["blas_threads_per_shard"] = measure_shard_blas_threads(
+                name, int(match.group(1))
+            )
     # Serving latency/throughput extras — measured once per entry on the
     # coalesced path; merged after the timing loop so the gate's keys above
     # stay the timed legacy/fast pair.
@@ -881,8 +925,8 @@ def main(argv: Optional[list] = None) -> int:
         n for n, row in results["kernels"].items() if row.get("oversubscribed")
     ):
         print(
-            f"  WARNING: {name} timed with more workers than the "
-            f"{results['meta']['cpu_count']} available cores — speedup "
+            f"  WARNING: {name} timed with more shard x BLAS threads than "
+            f"the {results['meta']['cpu_count']} available cores — speedup "
             "measures thread overhead, not the multicore win"
         )
     return 0

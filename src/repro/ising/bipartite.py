@@ -954,6 +954,9 @@ class BipartiteIsingSubstrate:
                 (descriptor, hidden[rows], n_steps, _light_context(contexts[index]), kern)
                 for index, rows in enumerate(slices)
             ]
+            # The map may retry on a fresh pool after a worker dies; the
+            # retry re-ships these same tasks, and the shard RNG states are
+            # written back only below, after it returns, so it draws the same.
             results = ProcessShardedExecutor(workers).map(_process_settle_shard, tasks)
         finally:
             shared.release()

@@ -507,6 +507,9 @@ class AISEstimator:
                         )
                         for index, size in enumerate(sizes)
                     ]
+                    # A retry after a dead worker re-ships these tasks; the
+                    # states are written back only after the map returns,
+                    # so the retry draws the same.
                     results = ProcessShardedExecutor(workers).map(
                         _process_ais_sweep, tasks
                     )

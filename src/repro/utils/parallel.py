@@ -9,9 +9,19 @@ shards and advance the shards concurrently on a thread pool.
 
 Threads (not processes) are the right tool here because the settle kernels
 are BLAS-bound: NumPy's matmul, elementwise ufuncs, and the Generator's
-fill routines all release the GIL while they run, so ``k`` shard threads
-drive ``k`` cores without any pickling or shared-memory choreography —
-the coupling matrix is shared read-only across shards by reference.
+fill routines all release the GIL while they run, so shard threads run
+concurrently without any pickling or shared-memory choreography — the
+coupling matrix is shared read-only across shards by reference.
+
+Each shard's BLAS calls bring their own OpenBLAS worker threads, so ``k``
+shard threads alone would ask for ``k`` times the cores OpenBLAS already
+uses.  The executor therefore owns a BLAS thread budget: while a map runs
+``s`` shards, numpy's bundled OpenBLAS runs ``max(1, min(saved, cores //
+s))`` threads (``saved`` is the count in force before the map, so a
+user's lower ``OPENBLAS_NUM_THREADS`` is never raised), restored when the
+last overlapping map leaves; spawn workers apply the same budget once, at
+start-up.  Without a findable OpenBLAS (MKL, Accelerate) the budget is a
+no-op.
 
 Determinism contract (see docs/performance.md, "The multicore layer"):
 
@@ -49,9 +59,14 @@ which makes ``executor="processes"`` **draw-identical** to
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import wait as wait_for_all
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import multiprocessing
@@ -65,10 +80,13 @@ __all__ = [
     "ProcessShardedExecutor",
     "SharedNDArray",
     "ShardedExecutor",
+    "available_cores",
+    "blas_thread_count",
     "default_executor",
     "default_workers",
     "resolve_executor",
     "resolve_workers",
+    "shard_blas_threads",
     "shard_seed_sequence",
     "shard_slices",
     "shutdown_process_pools",
@@ -164,9 +182,7 @@ def resolve_workers(workers: WorkersLike, *, name: str = "workers") -> int:
         return default_workers()
     if isinstance(workers, str):
         if workers == "auto":
-            affinity = getattr(os, "sched_getaffinity", None)
-            cores = len(affinity(0)) if affinity is not None else os.cpu_count()
-            return max(1, int(cores or 1))
+            return available_cores()
         raise ValidationError(
             f"{name} must be a positive int, 'auto', or None, got {workers!r}"
         )
@@ -179,6 +195,13 @@ def resolve_workers(workers: WorkersLike, *, name: str = "workers") -> int:
     if workers < 1:
         raise ValidationError(f"{name} must be >= 1, got {int(workers)}")
     return int(workers)
+
+
+def available_cores() -> int:
+    """Cores this process may run on (its CPU affinity), at least 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity is not None else os.cpu_count()
+    return max(1, int(cores or 1))
 
 
 def shard_slices(n_items: int, workers: int) -> List[slice]:
@@ -219,6 +242,139 @@ def shard_seed_sequence(
     )
 
 
+# --------------------------------------------------------------------------
+# BLAS thread budget: shards x OpenBLAS threads stays within the cores.
+# --------------------------------------------------------------------------
+
+
+def shard_blas_threads(saved: int, shards: int, cores: int) -> int:
+    """BLAS threads per shard while ``shards`` shards run on ``cores`` cores.
+
+    ``max(1, min(saved, cores // shards))``: the shards split the cores
+    between them, never more than the ``saved`` count already in force
+    (a user's lower ``OPENBLAS_NUM_THREADS`` is a ceiling) and never
+    fewer than one.
+    """
+    return max(1, min(int(saved), int(cores) // max(1, int(shards))))
+
+
+class _OpenBLAS:
+    """The thread-count entry points of numpy's bundled OpenBLAS."""
+
+    def __init__(self, getter, setter):
+        self._getter = getter
+        self._setter = setter
+
+    def get(self) -> int:
+        return int(self._getter())
+
+    def set(self, threads: int) -> None:
+        self._setter(int(threads))
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[_OpenBLAS]:
+    """numpy's bundled OpenBLAS, loaded on first use; ``None`` when absent.
+
+    Wheels ship it as ``numpy.libs/*openblas*`` with the
+    ``scipy_openblas_*64_`` symbol names; the plain ``openblas_*`` names
+    are the fallback.  A numpy linked against another BLAS (MKL,
+    Accelerate) has no such library, and the budget is then a no-op.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:  # no numpy.libs: not a wheel build
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if getter is None or setter is None:
+                    continue
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return _OpenBLAS(getter, setter)
+    return None
+
+
+def blas_thread_count() -> Optional[int]:
+    """The OpenBLAS thread count in force now, or ``None`` without OpenBLAS."""
+    blas = _openblas()
+    return None if blas is None else blas.get()
+
+
+class _BlasBudget:
+    """The process-wide OpenBLAS thread count while threaded maps run.
+
+    The count is global to the process, and maps may overlap (two threads
+    each driving a sharded settle), so entries are counted: the first map
+    to enter saves the count in force, every map lowers it to its own
+    budget when that is lower, and the last map to leave restores the
+    saved count.  A BLAS call made from any other thread while a map runs
+    also runs on the budget.
+    """
+
+    # The depth, the saved count and the current count are one unit: the
+    # save-on-first-enter and restore-on-last-exit decisions are wrong if
+    # any of them is read without the lock.
+    # reprolint: guard(_lock)=_depth,_saved,_current
+
+    # reprolint: lockfree -- construction happens-before sharing: the one instance is built at import
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+        self._current = 0
+
+    @contextlib.contextmanager
+    def limit(self, shards: int):
+        """Run the body with the OpenBLAS count budgeted for ``shards``."""
+        blas = _openblas()
+        if blas is None:
+            yield
+            return
+        cores = available_cores()
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self._current = blas.get()
+            self._depth += 1
+            budget = shard_blas_threads(self._saved, shards, cores)
+            if budget < self._current:
+                blas.set(budget)
+                self._current = budget
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0 and self._current != self._saved:
+                    blas.set(self._saved)
+                    self._current = self._saved
+
+
+_BLAS_BUDGET = _BlasBudget()
+
+
+def _budget_worker_blas(shards: int) -> None:
+    """Process-pool initializer: each spawn worker takes the same budget
+    a ``shards``-wide threaded map gives its shards, once, at start-up."""
+    blas = _openblas()
+    if blas is None:
+        return
+    saved = blas.get()
+    budget = shard_blas_threads(saved, shards, available_cores())
+    if budget < saved:
+        blas.set(budget)
+
+
 # One shared pool per worker count, created lazily and reused for the life
 # of the process: settle/AIS calls are far shorter than thread start-up, so
 # per-call pool construction would eat the concurrency win.  The pools are
@@ -247,7 +403,10 @@ class ShardedExecutor:
     no pool, no handoff, so the serial paths pay nothing for the layer's
     existence.  ``workers=k`` dispatches onto the shared ``k``-thread pool
     and gathers results *in submission order*, so callers can concatenate
-    shard outputs deterministically regardless of completion order.
+    shard outputs deterministically regardless of completion order.  While
+    the shards run, OpenBLAS runs on the BLAS thread budget
+    (:func:`shard_blas_threads`); the count in force before the map is
+    restored once every shard has finished, also when one raises.
     """
 
     def __init__(self, workers: WorkersLike = None):
@@ -259,7 +418,9 @@ class ShardedExecutor:
         if self.workers == 1 or len(items) <= 1:
             return [fn(item) for item in items]
         pool = _shared_pool(self.workers)
-        futures = [pool.submit(fn, item) for item in items]
+        with _BLAS_BUDGET.limit(min(self.workers, len(items))):
+            futures = [pool.submit(fn, item) for item in items]
+            wait_for_all(futures)
         return [future.result() for future in futures]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -381,7 +542,10 @@ def attach_shared_array(descriptor: Tuple[str, Tuple[int, ...], str, int]):
 # cache above.  Spawn (not fork) because the parent may hold live thread
 # pools and BLAS state that fork would duplicate mid-flight; the import
 # cost is paid once per (worker count, process lifetime) and amortized
-# across every subsequent sharded call.
+# across every subsequent sharded call.  Each worker applies the BLAS
+# thread budget of a ``workers``-wide map at start-up, so both tiers run
+# the same BLAS configuration.  A pool broken by a dead worker is evicted,
+# never served again.
 _PROC_POOLS: dict = {}
 _PROC_POOLS_LOCK = threading.Lock()
 
@@ -393,9 +557,31 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn"),
+                initializer=_budget_worker_blas,
+                initargs=(workers,),
             )
             _PROC_POOLS[workers] = pool
         return pool
+
+
+def _evict_process_pool(workers: int, pool: ProcessPoolExecutor) -> None:
+    """Drop a broken pool from the cache (unless already replaced)."""
+    with _PROC_POOLS_LOCK:
+        if _PROC_POOLS.get(workers) is pool:
+            del _PROC_POOLS[workers]
+    pool.shutdown(wait=False)
+
+
+def _map_on_process_pool(
+    workers: int, fn: Callable[[T], R], items: List[T]
+) -> List[R]:
+    pool = _process_pool(workers)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        _evict_process_pool(workers, pool)
+        raise
 
 
 def shutdown_process_pools(wait: bool = True) -> None:
@@ -417,6 +603,14 @@ class ProcessShardedExecutor:
     submission order.  ``fn`` and every item must be picklable;
     shard-sized payloads only — bulk read-only data goes through
     :class:`SharedNDArray`.
+
+    A worker that dies mid-map (killed, ``os._exit``, out of memory)
+    breaks its pool: the pool is evicted and the map retried once on a
+    fresh one; a second break evicts that pool too and raises
+    ``BrokenProcessPool``.  The retry ships the same items, so it is only
+    draw-identical if the caller applies results after ``map`` returns —
+    both sharded callers do (see ``_settle_batch_procs`` and the AIS
+    process path, which write shard RNG states back afterwards).
     """
 
     def __init__(self, workers: WorkersLike = None):
@@ -427,9 +621,10 @@ class ProcessShardedExecutor:
         items = list(items)
         if self.workers == 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        pool = _process_pool(self.workers)
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
+        try:
+            return _map_on_process_pool(self.workers, fn, items)
+        except BrokenProcessPool:
+            return _map_on_process_pool(self.workers, fn, items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessShardedExecutor(workers={self.workers})"

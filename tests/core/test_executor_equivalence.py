@@ -9,14 +9,19 @@ advanced RNG states are written back, so every array any caller sees is
 bit-for-bit the thread-tier array — across settles, AIS, PCD training,
 stateful call sequences, and reprogramming (which must invalidate the
 shared segment).  Shutdown hygiene rides along: no leaked shared-memory
-segments, clean pool teardown under ``pytest -W error``.
+segments, clean pool teardown under ``pytest -W error``, and a pool
+broken by a dead worker is retried on a fresh one without changing a draw.
 """
 
 import glob
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
+from helpers import procjobs
 from repro.analog.noise import NoiseConfig
 from repro.config import ComputeSpec, EstimatorSpec, SamplerSpec, TrainerSpec
 from repro.core import GibbsSamplerTrainer
@@ -28,7 +33,8 @@ from repro.rbm import (
     average_log_probability,
     estimate_log_partition,
 )
-from repro.utils.parallel import shutdown_process_pools
+from repro.utils import parallel
+from repro.utils.parallel import ProcessShardedExecutor, shutdown_process_pools
 
 # Like tests/core/test_parallel_equivalence.py, this module exercises the
 # legacy kwarg-style constructors on purpose (they are pinned bit-identical
@@ -154,6 +160,33 @@ class TestSettleDrawIdentity:
                 outs["threads"][index][1], outs["processes"][index][1]
             )
 
+    def test_paper_scale_float32_settles_match_threads(self):
+        """784x500 float32 with p=64: shard GEMMs large enough for OpenBLAS
+        to thread, whose last bits depend on the thread count -- the tiers
+        must run the same BLAS thread budget to stay draw-identical here.
+        (A mismatch flips a latch only rarely; the spawn workers' budget
+        itself is pinned in tests/utils/test_parallel.py.)"""
+        outs = {}
+        for executor in ("threads", "processes"):
+            substrate = BipartiteIsingSubstrate(
+                784, 500, input_bits=None, rng=5, dtype="float32"
+            )
+            rng = np.random.default_rng(1)
+            substrate.program(
+                rng.normal(0, 0.1, (784, 500)),
+                rng.normal(0, 0.1, 784),
+                rng.normal(0, 0.1, 500),
+            )
+            h = (np.random.default_rng(2).random((64, 500)) < 0.5).astype(float)
+            run = []
+            for _ in range(3):
+                v, h = substrate.settle_batch(h, 3, workers=WORKERS, executor=executor)
+                run.append((v, h))
+            outs[executor] = run
+        for (v_t, h_t), (v_p, h_p) in zip(outs["threads"], outs["processes"]):
+            np.testing.assert_array_equal(v_t, v_p)
+            np.testing.assert_array_equal(h_t, h_p)
+
     def test_env_default_routes_to_processes(self, monkeypatch):
         h = _hidden(3)
         explicit = _substrate().settle_batch(
@@ -222,6 +255,54 @@ class TestEstimatorAndTrainerDrawIdentity:
         np.testing.assert_array_equal(
             particles["threads"], particles["processes"]
         )
+
+
+def _break_process_pool():
+    """SIGKILL the cached pool's workers; return it once marked broken."""
+    pool = parallel._process_pool(WORKERS)
+    pids = set(
+        ProcessShardedExecutor(WORKERS).map(procjobs.worker_pid, range(2 * WORKERS))
+    )
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool._broken
+    return pool
+
+
+class TestBrokenPoolRetry:
+    """The retry after a dead worker re-ships the same shard RNG states
+    (callers write them back only after the map returns), so a call that
+    hit a broken pool draws exactly what the thread tier draws -- and so
+    does the next call in the sequence."""
+
+    def test_settle_retry_is_draw_identical(self):
+        h = _hidden(3)
+        threads = _substrate()
+        expected = [
+            threads.settle_batch(h, 3, workers=WORKERS, executor="threads")
+            for _ in range(2)
+        ]
+        substrate = _substrate()
+        broken = _break_process_pool()
+        got = [
+            substrate.settle_batch(h, 3, workers=WORKERS, executor="processes")
+            for _ in range(2)
+        ]
+        assert parallel._PROC_POOLS.get(WORKERS) is not broken
+        for (v_t, h_t), (v_p, h_p) in zip(expected, got):
+            np.testing.assert_array_equal(v_t, v_p)
+            np.testing.assert_array_equal(h_t, h_p)
+
+    def test_ais_retry_is_draw_identical(self):
+        expected = TestEstimatorAndTrainerDrawIdentity._ais_result("threads")
+        broken = _break_process_pool()
+        got = TestEstimatorAndTrainerDrawIdentity._ais_result("processes")
+        assert parallel._PROC_POOLS.get(WORKERS) is not broken
+        np.testing.assert_array_equal(expected.log_weights, got.log_weights)
+        assert expected.log_partition == got.log_partition
 
 
 class TestShutdownHygiene:

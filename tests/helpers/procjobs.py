@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from repro.utils.parallel import attach_shared_array
+from repro.utils.parallel import attach_shared_array, blas_thread_count
 
 
 def square(x):
@@ -21,6 +21,31 @@ def square(x):
 
 def worker_pid(_):
     return os.getpid()
+
+
+def blas_threads(_):
+    """The OpenBLAS thread count this worker runs with."""
+    return blas_thread_count()
+
+
+def exit_worker(_):
+    """Kill the worker outright, breaking its pool."""
+    os._exit(1)
+
+
+def exit_once(item):
+    """(marker, index) -> index; the first worker to claim ``marker`` dies.
+
+    The marker file is created atomically, so across every attempt of a
+    map exactly one call exits: the first attempt breaks the pool, a retry
+    on a fresh pool runs clean.
+    """
+    marker, index = item
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return index
+    os._exit(1)
 
 
 def sleepy_index(item):

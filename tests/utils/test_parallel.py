@@ -8,21 +8,28 @@ order.
 """
 
 import os
+import sys
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from helpers import procjobs
+from repro.utils import parallel
 from repro.utils.parallel import (
     ProcessShardedExecutor,
     ShardedExecutor,
     SharedNDArray,
     attach_shared_array,
+    available_cores,
+    blas_thread_count,
     default_executor,
     default_workers,
     resolve_executor,
     resolve_workers,
+    shard_blas_threads,
     shard_seed_sequence,
     shard_slices,
 )
@@ -273,3 +280,168 @@ class TestProcessShardedExecutor:
     def test_invalid_workers_rejected_at_construction(self):
         with pytest.raises(ValidationError):
             ProcessShardedExecutor(0)
+
+    def test_dead_worker_does_not_poison_later_maps(self):
+        """A worker that dies breaks its pool; the pool is evicted, so the
+        next map -- from a fresh executor or the same one -- still runs."""
+        executor = ProcessShardedExecutor(2)
+        with pytest.raises(BrokenProcessPool):
+            executor.map(procjobs.exit_worker, range(2))
+        assert ProcessShardedExecutor(2).map(procjobs.square, [1, 2, 3]) == [1, 4, 9]
+        assert executor.map(procjobs.square, [4, 5]) == [16, 25]
+
+    def test_one_break_is_retried_on_a_fresh_pool(self, tmp_path):
+        marker = str(tmp_path / "died")
+        items = [(marker, index) for index in range(4)]
+        assert ProcessShardedExecutor(2).map(procjobs.exit_once, items) == [0, 1, 2, 3]
+        assert os.path.exists(marker)  # the first attempt did break
+
+    def test_a_second_break_evicts_again_and_raises(self):
+        with pytest.raises(BrokenProcessPool):
+            ProcessShardedExecutor(2).map(procjobs.exit_worker, range(2))
+        assert 2 not in parallel._PROC_POOLS
+        assert ProcessShardedExecutor(2).map(procjobs.square, [3, 3]) == [9, 9]
+
+
+def _shard_counts(workers, shards):
+    """The OpenBLAS count each shard of a threaded map sees."""
+    return ShardedExecutor(workers).map(lambda _: blas_thread_count(), range(shards))
+
+
+@pytest.fixture
+def openblas(monkeypatch):
+    """numpy's OpenBLAS at a known count (4) on a pretend 4-core host.
+
+    Skips when numpy was built against another BLAS; restores the
+    original count afterwards.
+    """
+    original = blas_thread_count()
+    if original is None:
+        pytest.skip("numpy's bundled OpenBLAS not found: no BLAS thread budget")
+    blas = parallel._openblas()
+    monkeypatch.setattr(parallel, "available_cores", lambda: 4)
+    blas.set(4)
+    try:
+        yield blas
+    finally:
+        blas.set(original)
+
+
+class TestBlasBudget:
+    def test_budget_rule(self):
+        assert shard_blas_threads(4, 2, 4) == 2
+        assert shard_blas_threads(4, 3, 4) == 1
+        assert shard_blas_threads(4, 8, 4) == 1  # never below one
+        assert shard_blas_threads(1, 2, 8) == 1  # never above the saved count
+        assert shard_blas_threads(16, 2, 8) == 4
+
+    def test_shard_threads_run_on_the_budget(self, openblas):
+        assert _shard_counts(2, 2) == [2, 2]
+        assert _shard_counts(4, 4) == [1, 1, 1, 1]
+        assert _shard_counts(4, 2) == [2, 2]  # two items fill two shards
+        assert blas_thread_count() == 4
+
+    def test_serial_maps_leave_the_count_alone(self, openblas):
+        assert _shard_counts(1, 3) == [4, 4, 4]
+        assert _shard_counts(4, 1) == [4]
+
+    def test_spawn_workers_report_the_budget(self):
+        default = blas_thread_count()
+        if default is None:
+            pytest.skip("numpy's bundled OpenBLAS not found: no BLAS thread budget")
+        counts = ProcessShardedExecutor(2).map(procjobs.blas_threads, range(2))
+        assert counts == [shard_blas_threads(default, 2, available_cores())] * 2
+        assert blas_thread_count() == default
+
+    def test_count_restored_after_the_map(self, openblas):
+        _shard_counts(2, 2)
+        assert blas_thread_count() == 4
+
+    def test_count_restored_when_a_shard_raises(self, openblas):
+        seen = []
+
+        def shard(index):
+            if index == 0:
+                raise RuntimeError("shard failed")
+            time.sleep(0.05)
+            seen.append(blas_thread_count())
+
+        with pytest.raises(RuntimeError, match="shard failed"):
+            ShardedExecutor(2).map(shard, range(2))
+        # The sibling finished on the budget before the count came back.
+        assert seen == [2]
+        assert blas_thread_count() == 4
+
+    def test_lower_preset_count_is_never_raised(self, openblas):
+        openblas.set(1)
+        assert _shard_counts(2, 2) == [1, 1]
+        assert blas_thread_count() == 1
+
+    def test_overlapping_maps_restore_the_original_count(self, openblas):
+        """Map A (4 shards, budget 1) enters first; map B (2 shards, budget
+        2) overlaps it, must not raise A's count, and outlives it.  Only
+        B's exit -- the last -- restores the original count."""
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {"a": [], "b": []}
+
+        def a_shard(_):
+            a_in.set()
+            assert b_in.wait(10)
+            seen["a"].append(blas_thread_count())
+
+        def b_shard(_):
+            b_in.set()
+            assert a_out.wait(10)
+            seen["b"].append(blas_thread_count())
+
+        def run_b():
+            assert a_in.wait(10)
+            ShardedExecutor(2).map(b_shard, range(2))
+
+        thread_a = threading.Thread(target=ShardedExecutor(4).map, args=(a_shard, range(4)))
+        thread_b = threading.Thread(target=run_b)
+        thread_a.start()
+        thread_b.start()
+        thread_a.join(10)
+        assert not thread_a.is_alive()
+        assert blas_thread_count() == 1  # B still runs: not restored yet
+        a_out.set()
+        thread_b.join(10)
+        assert not thread_b.is_alive()
+        assert seen == {"a": [1] * 4, "b": [1, 1]}
+        assert blas_thread_count() == 4
+
+    def test_concurrent_maps_stress(self, openblas):
+        """Many overlapping maps of widths 2-4: no shard ever sees more
+        than the widest budget (2 of the 4 saved threads), and the last
+        exit restores the count (a lost depth update would restore early
+        or never)."""
+        seen, errors = [], []
+        lock = threading.Lock()
+
+        def shard(_):
+            count = blas_thread_count()
+            with lock:
+                seen.append(count)
+
+        def run_maps(width):
+            try:
+                for _ in range(20):
+                    ShardedExecutor(width).map(shard, range(width))
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run_maps, args=(2 + i % 3,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert seen and max(seen) <= 2
+        assert blas_thread_count() == 4
